@@ -20,9 +20,11 @@
 // -threshold percent on ns/op or allocs/op. Allocation counts are
 // deterministic per Go version, so they are gated even with -benchtime=1x;
 // -time-advisory downgrades ns/op regressions to warnings for noisy
-// environments. Benchmarks present in only one of the two sets are
-// reported but never fail the gate, so the baseline does not have to
-// enumerate every benchmark in the repo.
+// environments. For the same reason the gate refuses to run when a
+// baseline's "go" field differs from the toolchain running it: a
+// cross-version comparison gates nothing. Benchmarks present in only one
+// of the two sets are reported but never fail the gate, so the baseline
+// does not have to enumerate every benchmark in the repo.
 package main
 
 import (
@@ -33,6 +35,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,7 +54,10 @@ type BaselineEntry struct {
 type Baseline struct {
 	Description string          `json:"description"`
 	Command     string          `json:"command"`
+	Go          string          `json:"go"`
 	Benchmarks  []BaselineEntry `json:"benchmarks"`
+
+	path string // file the baseline was read from
 }
 
 // loadBaselines reads and merges the comma-separated baseline files. A
@@ -70,7 +76,7 @@ func loadBaselines(paths string) ([]Baseline, []BaselineEntry, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		var b Baseline
+		b := Baseline{path: p}
 		if err := json.Unmarshal(raw, &b); err != nil {
 			return nil, nil, fmt.Errorf("parse %s: %w", p, err)
 		}
@@ -87,6 +93,19 @@ func loadBaselines(paths string) ([]Baseline, []BaselineEntry, error) {
 		return nil, nil, fmt.Errorf("no baseline files in %q", paths)
 	}
 	return bases, merged, nil
+}
+
+// checkToolchain fails when a baseline was recorded on a Go version other
+// than the running one, naming both: allocation counts are deterministic
+// only per Go version, which is the gate's premise.
+func checkToolchain(bases []Baseline, version string) error {
+	for _, b := range bases {
+		if b.Go != version {
+			return fmt.Errorf("%s was recorded with Go %q but the gate runs %s; run it on %q or regenerate the baseline with: %s",
+				b.path, b.Go, version, b.Go, b.Command)
+		}
+	}
+	return nil
 }
 
 // benchLine matches the result line `go test -bench` prints:
@@ -193,6 +212,9 @@ func main() {
 
 	bases, baseEntries, err := loadBaselines(*baselinePath)
 	if err != nil {
+		fatal(err)
+	}
+	if err := checkToolchain(bases, runtime.Version()); err != nil {
 		fatal(err)
 	}
 

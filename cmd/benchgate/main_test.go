@@ -128,6 +128,39 @@ func TestLoadBaselinesMerges(t *testing.T) {
 	}
 }
 
+func TestCheckToolchain(t *testing.T) {
+	bases := []Baseline{
+		{Go: "go1.24.0", path: "a.json"},
+		{Go: "go1.22.5", path: "b.json", Command: "regen-b"},
+	}
+	if err := checkToolchain(bases[:1], "go1.24.0"); err != nil {
+		t.Fatalf("matching toolchain rejected: %v", err)
+	}
+	err := checkToolchain(bases, "go1.24.0")
+	if err == nil {
+		t.Fatal("baseline from another Go version accepted")
+	}
+	for _, want := range []string{"b.json", "go1.22.5", "go1.24.0", "regen-b"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("mismatch error %q does not name %q", err, want)
+		}
+	}
+	if err := checkToolchain([]Baseline{{path: "c.json"}}, "go1.24.0"); err == nil {
+		t.Fatal("baseline with no recorded toolchain accepted")
+	}
+
+	// The checked-in baselines carry their toolchain through loadBaselines.
+	loaded, _, err := loadBaselines("../../BENCH_compute.json,../../BENCH_update.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range loaded {
+		if b.Go == "" {
+			t.Errorf("%s records no toolchain", b.path)
+		}
+	}
+}
+
 func TestDeltaPct(t *testing.T) {
 	if p := deltaPct(100, 110); p != 10 {
 		t.Fatalf("deltaPct(100,110)=%v", p)

@@ -43,10 +43,11 @@ type Pipeline struct {
 	engine compute.Engine
 	rec    *telemetry.Recorder
 
-	// view is the incrementally maintained flat CSR mirror the compute
-	// phase traverses when PipelineConfig.ComputeView is on (nil
-	// otherwise, or when the structure exposes no Flattener). lastView is
-	// the refresh cost of the most recent batch, surfaced in telemetry.
+	// view is the incrementally maintained flat CSR mirror, kept when
+	// ComputeView or ServeQueries is on (nil otherwise, or when a
+	// ComputeView-only structure exposes no Flattener). Served epochs are
+	// published from it; compute traverses it only under ComputeView.
+	// lastView is the refresh cost of the most recent batch.
 	view     *ds.ComputeView
 	lastView ds.RefreshStats
 
@@ -118,26 +119,29 @@ type PipelineConfig struct {
 	// DS carries data-structure tuning (block size, chunk count, flush
 	// threshold). Directed/Threads/MaxNodesHint above take precedence.
 	DS ds.Config
-	// ComputeView, when true, maintains a flat CSR mirror of the data
-	// structure (rebuilt incrementally after every update phase: only
-	// vertices the batch touched are re-flattened) and hands it to the
-	// compute engine, whose kernels then iterate contiguous arrays
-	// instead of calling OutNeigh/InNeigh per vertex — the GraphTango
-	// split: a dynamic structure for ingest, a flat one for analytics.
-	// The refresh cost is charged to the update phase (Equation 1 keeps
-	// both sides honest). Structures without a Flattener fall back to the
+	// ComputeView selects what the compute phase traverses: when true,
+	// the flat CSR mirror of the data structure (rebuilt incrementally
+	// after every update phase: only vertices the batch touched are
+	// re-flattened), whose kernels then iterate contiguous arrays instead
+	// of calling OutNeigh/InNeigh per vertex — the GraphTango split: a
+	// dynamic structure for ingest, a flat one for analytics. When false,
+	// compute runs over the structure's interface (the paper's Fig 6
+	// path), whether or not a mirror is kept for ServeQueries. The
+	// refresh cost is charged to the update phase (Equation 1 keeps both
+	// sides honest). Structures without a Flattener fall back to the
 	// interface path silently.
 	ComputeView bool
 	// ServeQueries enables non-blocking queries: after every batch the
-	// pipeline publishes an immutable snapshot of the graph (the refreshed
-	// compute-view CSR when ComputeView is on, else a freshly built CSR)
-	// plus the algorithm's property vector, behind an epoch counter with
-	// reader refcounts. Concurrent readers then pin epochs through
-	// AcquireQuery and read without ever blocking the update phase; the
-	// writer never frees or reuses a pinned snapshot's memory (see
-	// internal/epoch). With ComputeView the marginal publication cost is
-	// one property-vector copy per batch — the CSR is the mirror the
-	// refresh built anyway; without it every batch pays a full CSR export.
+	// pipeline publishes an immutable snapshot of the graph plus the
+	// algorithm's property vector, behind an epoch counter with reader
+	// refcounts. Concurrent readers then pin epochs through AcquireQuery
+	// and read without ever blocking the update phase; the writer never
+	// frees or reuses a pinned snapshot's memory (see internal/epoch).
+	// Every epoch is published from the flat mirror, which serving keeps
+	// whatever ComputeView says, so the marginal publication cost is one
+	// property-vector copy per batch; the mirror's delta refresh is
+	// charged to update. NewPipeline fails on a structure without a
+	// Flattener, since there is then nothing to publish from.
 	ServeQueries bool
 	// Telemetry, when non-nil, receives one event per processed batch
 	// (latencies, affected-set size, compute stats, ds profile deltas).
@@ -228,11 +232,12 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{g: g, engine: engine, rec: cfg.Telemetry, tr: cfg.Tracer, pcfg: cfg, health: cfg.Health}
-	p.initView()
+	if err := p.initView(); err != nil {
+		return nil, err
+	}
 	if cfg.ServeQueries {
-		// Buffer reuse is negotiated with the compute-view double buffer;
-		// the export fallback publishes fresh arrays every batch.
-		p.em = epoch.NewManager(cfg.ComputeView)
+		// Buffer reuse is negotiated with the mirror's double buffer.
+		p.em = epoch.NewManager(true)
 	}
 	if cfg.Durable != nil {
 		if err := p.initDurable(*cfg.Durable); err != nil {
@@ -246,39 +251,45 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 // Called at construction and again by the durability layer after it swaps
 // in fresh components: a nil-or-fresh view is unbuilt, so the next Refresh
 // full-builds from whatever topology the structure then holds.
-func (p *Pipeline) initView() {
+func (p *Pipeline) initView() error {
 	p.view = nil
 	p.lastView = ds.RefreshStats{}
-	if !p.pcfg.ComputeView {
-		return
+	if !p.pcfg.ComputeView && !p.pcfg.ServeQueries {
+		return nil
 	}
 	threads := p.pcfg.Threads
 	if threads <= 0 {
 		threads = 1
 	}
-	if v, ok := ds.NewComputeView(p.g, threads); ok {
-		if !compute.NeedsInAdjacency(p.pcfg.Algorithm, p.pcfg.Model) && !p.pcfg.ServeQueries {
-			// The registered kernel never pulls from in-neighbors, so
-			// don't pay to mirror that direction on every batch. Served
-			// queries forbid the shortcut: a pinned epoch must answer
-			// in-neighborhood reads regardless of the algorithm.
-			v.MirrorOutOnly()
+	v, ok := ds.NewComputeView(p.g, threads)
+	if !ok {
+		if p.pcfg.ServeQueries {
+			return fmt.Errorf("core: %s has no flat mirror to publish query epochs from", p.pcfg.DataStructure)
 		}
-		p.view = v
+		return nil
 	}
+	if !compute.NeedsInAdjacency(p.pcfg.Algorithm, p.pcfg.Model) && !p.pcfg.ServeQueries {
+		// The registered kernel never pulls from in-neighbors, so don't
+		// pay to mirror that direction on every batch. Served queries
+		// forbid the shortcut: a pinned epoch must answer in-neighborhood
+		// reads regardless of the algorithm.
+		v.MirrorOutOnly()
+	}
+	p.view = v
+	return nil
 }
 
 // ComputeGraph is the graph the compute phase traverses: the flat mirror
-// when the compute view is active, else the data structure itself.
+// under ComputeView, else the data structure itself.
 func (p *Pipeline) ComputeGraph() ds.Graph {
-	if p.view != nil {
+	if p.view != nil && p.pcfg.ComputeView {
 		return p.view
 	}
 	return p.g
 }
 
 // LastViewRefresh reports the mirror refresh cost of the most recent batch
-// (zero when the view is off).
+// (zero when no mirror is kept: neither ComputeView nor ServeQueries).
 func (p *Pipeline) LastViewRefresh() ds.RefreshStats { return p.lastView }
 
 // SetTelemetry installs (or removes, with nil) the batch recorder on a
@@ -773,10 +784,7 @@ func (p *Pipeline) apply(mb MixedBatch) (BatchLatency, error) {
 		}
 		return lat, err
 	}
-	cg := p.g
-	if p.view != nil {
-		cg = p.view
-	}
+	cg := p.ComputeGraph()
 
 	// Overwritten weights and true deletions invalidate in one call so the
 	// cone is grown against a consistent pre-reset value array.

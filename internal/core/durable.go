@@ -121,7 +121,9 @@ func (p *Pipeline) resetComponents() error {
 	// and full-builds on the first post-recovery Refresh, which sees the
 	// checkpoint-restored topology (restoreCheckpoint writes the structure
 	// directly, bypassing apply and therefore the mirror).
-	p.initView()
+	if err := p.initView(); err != nil {
+		return err
+	}
 	if p.em != nil {
 		// The double buffer was discarded with the old view; the spare the
 		// manager tracked no longer exists, so stop gating on it. Snapshots

@@ -17,41 +17,24 @@ import (
 // surface readers use to consume pinned epochs concurrently with the
 // update phase. The protocol itself lives in internal/epoch.
 
-// publishEpoch publishes the post-batch state as a new epoch. With the
-// compute view attached, the published CSR is the mirror the refresh just
-// built — zero extra topology work; the double buffer's reuse of these
-// arrays two batches from now is gated by ReclaimSpare in updatePhase.
-// Without the view, a full CSR is exported from the structure each batch
-// (fresh arrays, nothing to gate). The property vector is copied either
-// way: the engine mutates its array in place next batch.
+// publishEpoch publishes the post-batch state as a new epoch. The
+// published CSR is always the flat mirror the update phase just
+// refreshed, whether or not compute traversed it — zero extra topology
+// work; the double buffer's reuse of these arrays two batches from now is
+// gated by ReclaimSpare in updatePhase. Only the property vector is
+// copied: the engine mutates its array in place next batch.
 func (p *Pipeline) publishEpoch() {
 	p.enterPhase("publish", fault.OpPublish)
 	defer p.exitPhase("publish")
 	sp := p.bt.Start("epoch.publish")
-	var csr graph.CSR
-	if p.view != nil {
-		csr = *p.view.FlatCSR()
-	} else {
-		threads := p.pcfg.Threads
-		if threads <= 0 {
-			threads = 1
-		}
-		csr = *graph.BuildCSR(p.g.NumNodes(), ds.ExportEdgesParallel(p.g, threads))
-	}
 	s := &epoch.Snapshot{
 		Batch:    p.epochBatch,
 		Wall:     time.Now(),
-		CSR:      csr,
+		CSR:      *p.view.FlatCSR(),
 		Values:   append([]float64(nil), p.engine.Values()...),
 		Directed: p.pcfg.Directed,
 	}
 	ep := p.em.Publish(s)
-	if p.view == nil {
-		// Export-path arrays are fresh every batch; nothing is ever
-		// reclaimed, so don't let the manager track the superseded
-		// snapshot as a spare owner.
-		p.em.ForgetSpare()
-	}
 	p.epochBatch++
 	sp.SetInt("epoch", int64(ep))
 	sp.SetInt("nodes", int64(s.NumNodes()))

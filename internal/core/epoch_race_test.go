@@ -44,13 +44,15 @@ func supportsDeletes(name string) bool {
 	return ok
 }
 
-// TestQueryRaceBattery drives every structure, with and without the
-// compute view, under continuous mutation with a verifying reader fleet.
+// TestQueryRaceBattery drives every structure under continuous mutation
+// with a verifying reader fleet. The view= axis is the compute path
+// (ComputeView): compute traverses the mirror or the structure's
+// interface, while every epoch is published from the mirror either way.
 func TestQueryRaceBattery(t *testing.T) {
 	for _, name := range ds.Names() {
-		for _, view := range []bool{true, false} {
-			name, view := name, view
-			t.Run(fmt.Sprintf("%s/view=%v", name, view), func(t *testing.T) {
+		for _, computeView := range []bool{true, false} {
+			name, computeView := name, computeView
+			t.Run(fmt.Sprintf("%s/view=%v", name, computeView), func(t *testing.T) {
 				t.Parallel()
 				cfg := core.PipelineConfig{
 					DataStructure: name,
@@ -58,7 +60,7 @@ func TestQueryRaceBattery(t *testing.T) {
 					Model:         compute.INC,
 					Directed:      true,
 					Threads:       2,
-					ComputeView:   view,
+					ComputeView:   computeView,
 					ServeQueries:  true,
 				}
 				p, err := core.NewPipeline(cfg)

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	"sagabench/internal/compute"
 	"sagabench/internal/core"
 	"sagabench/internal/crosscheck"
+	"sagabench/internal/ds"
 	_ "sagabench/internal/ds/all"
+	"sagabench/internal/epoch"
 	"sagabench/internal/graph"
 )
 
@@ -29,13 +32,14 @@ func sortedRun(run []graph.Neighbor) []graph.Neighbor {
 	return out
 }
 
-// TestEpochLifecycle walks publish→pin→advance→release on both the
-// compute-view (double-buffered) and export (fresh-arrays) publication
-// paths, checking every pinned epoch against a sequential oracle.
+// TestEpochLifecycle walks publish→pin→advance→release with compute on
+// the mirror and on the structure's interface — both publish from the
+// double-buffered mirror — checking every pinned epoch against a
+// sequential oracle.
 func TestEpochLifecycle(t *testing.T) {
 	for _, view := range []bool{true, false} {
 		view := view
-		t.Run(map[bool]string{true: "view", false: "export"}[view], func(t *testing.T) {
+		t.Run(map[bool]string{true: "view", false: "interface"}[view], func(t *testing.T) {
 			p, err := core.NewPipeline(servingCfg("adjshared", view))
 			if err != nil {
 				t.Fatal(err)
@@ -233,33 +237,139 @@ func TestEpochBufferReuse(t *testing.T) {
 	}
 }
 
-// TestEpochExportPathNoSpares verifies the export publication path (no
-// compute view) never enters the buffer-reuse protocol: arrays are fresh
-// each batch, so nothing is reclaimed or dropped even under held pins.
-func TestEpochExportPathNoSpares(t *testing.T) {
-	p, err := core.NewPipeline(servingCfg("stinger", false))
-	if err != nil {
-		t.Fatal(err)
+// TestEpochServeWithoutComputeView pins down the contract of serving
+// queries while compute stays on the interface path: compute traverses
+// the structure itself and produces bit-identical values to an unserved
+// pipeline, yet every epoch is published from the delta-maintained
+// mirror, equals a full export of the structure, and takes part in the
+// double buffer's reuse protocol.
+func TestEpochServeWithoutComputeView(t *testing.T) {
+	for _, dsName := range ds.Names() {
+		dsName := dsName
+		t.Run(dsName, func(t *testing.T) {
+			t.Parallel()
+			dels := supportsDeletes(dsName)
+			for _, directed := range []bool{true, false} {
+				stream := viewMixedStream(0x5E7E+int64(len(dsName)), 8, 150, 64)
+				for _, alg := range []string{"cc", "pr", "sssp"} {
+					name := fmt.Sprintf("%s/%s/directed=%v", dsName, alg, directed)
+					mk := func(serve bool) *core.Pipeline {
+						p, err := core.NewPipeline(core.PipelineConfig{
+							DataStructure: dsName,
+							Algorithm:     alg,
+							Model:         compute.INC,
+							Directed:      directed,
+							Threads:       1,
+							ServeQueries:  serve,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						return p
+					}
+					plain, served := mk(false), mk(true)
+					if served.ComputeGraph() != served.Graph() {
+						t.Fatalf("%s: compute traverses the mirror without ComputeView", name)
+					}
+					var held *core.QueryHandle
+					var heldFP uint64
+					var before epoch.Stats
+					for bi, mb := range stream {
+						if !dels {
+							mb.Dels = nil
+						}
+						if _, err := plain.ProcessMixed(mb); err != nil {
+							t.Fatalf("%s plain batch %d: %v", name, bi, err)
+						}
+						if _, err := served.ProcessMixed(mb); err != nil {
+							t.Fatalf("%s served batch %d: %v", name, bi, err)
+						}
+						got, want := served.Values(), plain.Values()
+						if len(got) != len(want) {
+							t.Fatalf("%s batch %d: %d values, want %d", name, bi, len(got), len(want))
+						}
+						for v := range got {
+							if got[v] != want[v] {
+								t.Fatalf("%s batch %d vertex %d: served %v, unserved %v", name, bi, v, got[v], want[v])
+							}
+						}
+
+						h, err := served.AcquireQuery()
+						if err != nil {
+							t.Fatalf("%s batch %d: %v", name, bi, err)
+						}
+						if err := h.Snapshot().CheckConsistent(); err != nil {
+							t.Fatalf("%s batch %d: %v", name, bi, err)
+						}
+						exported := graph.BuildCSR(served.Graph().NumNodes(), ds.ExportEdges(served.Graph()))
+						if err := csrRunsEqual(&h.Snapshot().CSR, exported, directed); err != nil {
+							t.Fatalf("%s batch %d: published epoch vs export: %v", name, bi, err)
+						}
+
+						// Hold batch 3's epoch across batches 4 and 5. Batch 5's
+						// refresh wants the buffers it owns: the writer must drop
+						// them, not reclaim them.
+						switch bi {
+						case 3:
+							held, heldFP = h, h.Snapshot().Fingerprint()
+							continue
+						case 4:
+							before = served.Epochs().Stats()
+						case 5:
+							st := served.Epochs().Stats()
+							if st.Dropped != before.Dropped+1 || st.Reclaimed != before.Reclaimed {
+								t.Fatalf("%s: batch under a held pin moved counters %+v -> %+v, want one drop and no reclaim",
+									name, before, st)
+							}
+							if got := held.Snapshot().Fingerprint(); got != heldFP {
+								t.Fatalf("%s: held epoch scribbled: %#x -> %#x", name, heldFP, got)
+							}
+							if err := held.ReleaseChecked(); err != nil {
+								t.Fatal(err)
+							}
+						}
+						h.Release()
+					}
+					plain.Close()
+					served.Close()
+				}
+			}
+		})
 	}
-	defer p.Close()
-	p.Process(graph.Batch{{Src: 0, Dst: 1, Weight: 1}})
-	h, err := p.AcquireQuery()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// csrRunsEqual compares two CSRs run by run, ignoring the order within a
+// run (structures publish in storage order, BuildCSR sorts by ID). The
+// in-direction is compared only for directed graphs, where it is stored
+// separately.
+func csrRunsEqual(got, want *graph.CSR, directed bool) error {
+	type dir struct {
+		name       string
+		gi, wi     []int64
+		gadj, wadj []graph.Neighbor
 	}
-	for r := 0; r < 3; r++ {
-		p.Process(graph.Batch{{Src: graph.NodeID(r + 1), Dst: graph.NodeID(r + 2), Weight: 1}})
+	dirs := []dir{{"out", got.OutIndex, want.OutIndex, got.OutAdj, want.OutAdj}}
+	if directed {
+		dirs = append(dirs, dir{"in", got.InIndex, want.InIndex, got.InAdj, want.InAdj})
 	}
-	st := p.Epochs().Stats()
-	if st.Reclaimed != 0 || st.Dropped != 0 {
-		t.Fatalf("export path touched the buffer protocol: %+v", st)
+	for _, d := range dirs {
+		if len(d.gi) != len(d.wi) {
+			return fmt.Errorf("%s index has %d entries, want %d", d.name, len(d.gi), len(d.wi))
+		}
+		for v := 0; v+1 < len(d.gi); v++ {
+			g := sortedRun(d.gadj[d.gi[v]:d.gi[v+1]])
+			w := sortedRun(d.wadj[d.wi[v]:d.wi[v+1]])
+			if len(g) != len(w) {
+				return fmt.Errorf("vertex %d: %s-run of %d, want %d", v, d.name, len(g), len(w))
+			}
+			for i := range g {
+				if g[i] != w[i] {
+					return fmt.Errorf("vertex %d: %s-neighbor %d is %v, want %v", v, d.name, i, g[i], w[i])
+				}
+			}
+		}
 	}
-	if st.Published != 4 {
-		t.Fatalf("published %d epochs, want 4", st.Published)
-	}
-	if err := h.ReleaseChecked(); err != nil {
-		t.Fatal(err)
-	}
+	return nil
 }
 
 // TestQueryHandleFrozen runs a full algorithm on a pinned epoch through

@@ -43,7 +43,10 @@ type ReadDuringConfig struct {
 	// Readers is the concurrent reader count (default 4).
 	Readers int
 	// MaxObsPerReader caps recorded observations per reader so post-hoc
-	// verification stays bounded (default 256).
+	// verification stays bounded (default 256). While the stream runs, a
+	// reader takes at most ceil(MaxObsPerReader/len(stream)) of them from
+	// any one pinned epoch, so a fast reader cannot spend its whole budget
+	// on the first batches.
 	MaxObsPerReader int
 	// ComputeView publishes the incrementally rebuilt CSR mirror (the
 	// buffer-reuse path, where the reclaim protocol is load-bearing);
@@ -112,10 +115,12 @@ func (m ReadMismatch) String() string {
 // ReadDuringReport summarizes one run.
 type ReadDuringReport struct {
 	// Batches is the stream length; Observations the mid-stream queries
-	// recorded; Checked the ground-truth re-answers performed.
-	Batches      int
-	Observations int
-	Checked      int
+	// recorded; Checked the ground-truth re-answers performed;
+	// BatchesObserved the distinct batches those observations pinned.
+	Batches         int
+	Observations    int
+	Checked         int
+	BatchesObserved int
 	// Mismatches lists refuted observations (deduplicated by (batch,
 	// vertex)), capped at maxMismatches per run; Suppressed counts the
 	// distinct failing pairs beyond the cap, so a mass failure is never
@@ -296,6 +301,13 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 	if quota > 16 {
 		quota = 16
 	}
+	perEpoch := cfg.MaxObsPerReader
+	if len(stream) > 0 {
+		perEpoch = (cfg.MaxObsPerReader + len(stream) - 1) / len(stream)
+	}
+	// drained lifts the per-epoch cap once the last batch is published:
+	// no newer epoch will come, and the readers must still reach quota.
+	var drained atomic.Bool
 	var wg sync.WaitGroup
 	obsPerReader := make([][]observation, cfg.Readers)
 	obsCount := make([]atomic.Int64, cfg.Readers)
@@ -315,6 +327,8 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 			}()
 			rng := rand.New(rand.NewSource(seed))
 			var obs []observation
+			var lastEpoch uint64
+			onEpoch := 0
 			for len(obs) < cfg.MaxObsPerReader {
 				s := w.em.Pin()
 				if s == nil {
@@ -325,6 +339,16 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 						continue
 					}
 					break
+				}
+				if s.Epoch != lastEpoch {
+					lastEpoch, onEpoch = s.Epoch, 0
+				}
+				if onEpoch >= perEpoch && !drained.Load() {
+					// At this epoch's cap: yield until a newer one is
+					// published.
+					w.em.Release(s)
+					runtime.Gosched()
+					continue
 				}
 				n := s.NumNodes()
 				if n > 0 {
@@ -341,6 +365,7 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 					o.value, o.hasVal = s.Value(v)
 					sort.Slice(o.out, func(a, b int) bool { return o.out[a].ID < o.out[b].ID })
 					obs = append(obs, o)
+					onEpoch++
 					obsCount[slot].Store(int64(len(obs)))
 				}
 				w.em.Release(s)
@@ -358,7 +383,11 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 		if stepErr = w.step(st); stepErr != nil {
 			break
 		}
+		// Let readers pin the new epoch before the next step supersedes
+		// it; on a single P nothing else would run until the stream ends.
+		runtime.Gosched()
 	}
+	drained.Store(true)
 	// Quota wait: only meaningful when an epoch with vertices exists for
 	// readers to observe (a reader on an empty graph records nothing).
 	if stepErr == nil && w.g.NumNodes() > 0 && len(stream) > 0 {
@@ -391,10 +420,12 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 	// truth at its pinned batch. Deduplicate failing (batch, vertex)
 	// pairs — many readers see the same broken epoch.
 	seen := map[[2]int]bool{}
+	batchesSeen := map[int]bool{}
 	tol := compute.Tolerance(cfg.Alg)
 	for _, obs := range obsPerReader {
 		for _, o := range obs {
 			rep.Observations++
+			batchesSeen[o.batch] = true
 			key := [2]int{o.batch, int(o.vertex)}
 			if seen[key] {
 				continue
@@ -409,6 +440,7 @@ func ReplayReadDuring(cfg ReadDuringConfig, stream Stream) (*ReadDuringReport, e
 				ReadMismatch{Batch: o.batch, Epoch: o.epoch, Vertex: o.vertex, Detail: detail})
 		}
 	}
+	rep.BatchesObserved = len(batchesSeen)
 	// Sort before classifying so the capped classification and repro
 	// budgets land on the earliest (batch, vertex) pairs deterministically,
 	// not on whichever reader happened to report first.

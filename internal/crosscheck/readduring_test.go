@@ -115,6 +115,10 @@ func TestReadDuringDetectsFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.BatchesObserved <= 1 {
+		t.Fatalf("readers observed %d distinct batches of %d — the differential never looked past one epoch",
+			rep.BatchesObserved, rep.Batches)
+	}
 	if rep.OK() {
 		t.Fatal("differential passed a structure that drops edges")
 	}
